@@ -12,9 +12,9 @@
 //!    partition (Sec. IV-B), emitting the round's MST edge ids;
 //! 3. [`exchange_labels`] + [`relabel`] — the pull-based ghost-label
 //!    protocol and endpoint rewriting (Sec. IV-C);
-//! 4. [`redistribute`] — parallel-edge elimination (hash prefilter or pure
-//!    sorting, Sec. VI-B), distributed sorting, and re-establishing the
-//!    distributed graph structure.
+//! 4. [`redistribute`] — parallel-edge elimination (local prefilter or
+//!    pure sorting, Sec. VI-B), distributed sorting, and re-establishing
+//!    the distributed graph structure.
 //!
 //! An optional [`local_contract`] pass (Sec. IV-A) contracts purely local
 //! subtrees before the first communication round. Its gate runs the pass
@@ -45,7 +45,8 @@ use std::borrow::Cow;
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum DedupStrategy {
     /// Local per-`(u, v)`-pair prefilter before the distributed sort
-    /// (radix sort on packed lexicographic keys + one dedup scan).
+    /// (source buckets, each sorted by the lexicographic key, then one
+    /// run-head compaction).
     #[default]
     HashFilter,
     /// Pure sorting: global sort, then dedup — the ablation baseline.
@@ -371,6 +372,14 @@ where
 /// symmetric closure of the distributed edge list is maintained. Borrows
 /// the edge slice: the output is a fresh vector either way, so callers
 /// never have to clone their graph to call this.
+///
+/// No hash lookup per edge: a source's label is resolved once per run of
+/// equal sources (every caller passes source-sorted edges; runs keep any
+/// order correct), and destinations read a dense table over their id
+/// span, filled from the source labels and then overwritten by the ghost
+/// map — the ghost label wins for a vertex that is both. Only when that
+/// span exceeds `DENSE_SPAN_PER_VERTEX` ids per edge do destinations go
+/// through the hash maps.
 pub fn relabel<F>(
     comm: &Comm,
     g: &DistGraph,
@@ -383,14 +392,100 @@ where
 {
     debug_assert!(g.pes() == comm.size());
     comm.charge_local(edges.len() as u64);
-    edges
-        .iter()
-        .filter_map(|&(mut e)| {
-            e.u = label_of(e.u);
-            e.v = ghost.get(&e.v).copied().unwrap_or_else(|| label_of(e.v));
-            (e.u != e.v).then_some(e)
-        })
-        .collect()
+    let resolve = |v: VertexId| ghost.get(&v).copied().unwrap_or_else(|| label_of(v));
+    let dense = dest_span(edges)
+        .filter(|&(lo, hi)| hi - lo < DENSE_SPAN_PER_VERTEX.saturating_mul(edges.len() as u64));
+    match dense {
+        Some(span) => {
+            let table = DestLabels::new(edges, span, &label_of, ghost);
+            relabel_runs(edges, &label_of, |v| {
+                table.get(v).unwrap_or_else(|| resolve(v))
+            })
+        }
+        None => relabel_runs(edges, &label_of, resolve),
+    }
+}
+
+/// The relabel pass proper: one `label_of` call per source run, `dest`
+/// per edge, the output preallocated at the input length.
+fn relabel_runs(
+    edges: &[CEdge],
+    label_of: impl Fn(VertexId) -> VertexId,
+    dest: impl Fn(VertexId) -> VertexId,
+) -> Vec<CEdge> {
+    let mut out = Vec::with_capacity(edges.len());
+    let mut run: Option<(VertexId, VertexId)> = None;
+    for e in edges {
+        let u = match run {
+            Some((src, label)) if src == e.u => label,
+            _ => {
+                let label = label_of(e.u);
+                run = Some((e.u, label));
+                label
+            }
+        };
+        let v = dest(e.v);
+        if u != v {
+            out.push(CEdge { u, v, ..*e });
+        }
+    }
+    out
+}
+
+/// The smallest and the largest destination of `edges`.
+fn dest_span(edges: &[CEdge]) -> Option<(VertexId, VertexId)> {
+    let first = edges.first()?.v;
+    Some(
+        edges
+            .iter()
+            .fold((first, first), |(lo, hi), e| (lo.min(e.v), hi.max(e.v))),
+    )
+}
+
+/// Empty slot of a [`DestLabels`] table. A label that really is
+/// `VertexId::MAX` merely takes the hash path.
+const UNSET: VertexId = VertexId::MAX;
+
+/// Destination labels of one [`relabel`] call in a dense table over the
+/// destination span `[lo, hi]`; [`UNSET`] marks ids that are neither a
+/// source of the slice nor a ghost.
+struct DestLabels {
+    lo: VertexId,
+    labels: Vec<VertexId>,
+}
+
+impl DestLabels {
+    fn new(
+        edges: &[CEdge],
+        (lo, hi): (VertexId, VertexId),
+        label_of: impl Fn(VertexId) -> VertexId,
+        ghost: &FxHashMap<VertexId, VertexId>,
+    ) -> Self {
+        let mut labels = vec![UNSET; (hi - lo + 1) as usize];
+        let index = |v: VertexId| usize::try_from(v.wrapping_sub(lo)).ok();
+        let mut prev = None;
+        for e in edges {
+            if prev != Some(e.u) {
+                prev = Some(e.u);
+                if let Some(slot) = index(e.u).and_then(|i| labels.get_mut(i)) {
+                    *slot = label_of(e.u);
+                }
+            }
+        }
+        for (&v, &label) in ghost {
+            if let Some(slot) = index(v).and_then(|i| labels.get_mut(i)) {
+                *slot = label;
+            }
+        }
+        Self { lo, labels }
+    }
+
+    /// The tabled label of destination `v`, if any.
+    #[inline]
+    fn get(&self, v: VertexId) -> Option<VertexId> {
+        let label = self.labels[(v - self.lo) as usize];
+        (label != UNSET).then_some(label)
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -451,10 +546,11 @@ const PREPROCESS_MIN_LOCAL_FRACTION: f64 = 0.25;
 /// Sentinel "no vertex / no edge" index in the preprocessing tables.
 const NONE: u32 = u32::MAX;
 
-/// Local vertex ids spread wider than this many per local vertex make
-/// the dense target table too sparse to pay; lookups then binary-search
-/// the sources instead (service certificate graphs spread a few vertices
-/// over a wide id range).
+/// Ids spread wider than this many per table user make a dense id table
+/// too sparse to pay: the preprocessing target table (per local vertex)
+/// then binary-searches the sources, and [`relabel`]'s destination table
+/// (per edge) falls back to the hash maps. Service certificate graphs
+/// spread a few vertices over a wide id range.
 const DENSE_SPAN_PER_VERTEX: u64 = 4;
 
 /// The local vertices of a [`DistGraph`] slice, indexed by their position
@@ -763,65 +859,13 @@ fn kruskal_ids_and_labels(all: &[CEdge]) -> (Vec<u64>, FxHashMap<VertexId, Verte
 }
 
 /// Local keep-lightest-per-pair prefilter used by the `REDISTRIBUTE`
-/// dedup — identical duplicates and parallel copies never travel. A radix
-/// sort on the packed lexicographic key groups each ordered `(u, v)` pair
-/// with its lightest `(w, id)` copy first, so one dedup scan keeps
-/// exactly the survivors the old hash-table prefilter kept — already
-/// sorted. Both directions survive, keeping the edge list symmetric.
+/// dedup — identical duplicates and parallel copies never travel. Keeps,
+/// per ordered `(u, v)` pair of a non-loop edge, the copy minimal in
+/// `(w, id)`, and returns the survivors in lexicographic order (see
+/// [`prefilter`]). Both directions survive, keeping the edge list
+/// symmetric.
 fn prefilter_pairs(comm: &Comm, edges: &[CEdge]) -> Vec<CEdge> {
-    use rayon::prelude::*;
-    comm.charge_local(edges.len() as u64);
-    let mut out: Vec<CEdge> = if par_scan_engages(edges.len()) {
-        edges
-            .par_iter()
-            .filter(|e| !e.is_self_loop())
-            .map(|e| *e)
-            .collect()
-    } else {
-        edges
-            .iter()
-            .filter(|e| !e.is_self_loop())
-            .copied()
-            .collect()
-    };
-    kamsta_sort::local_radix_sort(comm, &mut out, CEdge::lex_key);
-    par_dedup_pairs(out)
-}
-
-/// Scan size above which the parallel filter/dedup scans beat their
-/// sequential loops. The per-element work here is a couple of field
-/// compares — far too little to amortize chunk-queue jobs below tens
-/// of thousands of elements even with real cores behind the pool, and
-/// the prefilters run once per Borůvka round, so the overhead
-/// compounds on duplicate-heavy families (RMAT). The parallel and
-/// sequential scans are bit-identical, so this is a pure profitability
-/// gate.
-const PAR_SCAN_CUTOFF: usize = 65_536;
-
-fn par_scan_engages(n: usize) -> bool {
-    n >= PAR_SCAN_CUTOFF && rayon::current_num_threads() > 1
-}
-
-/// Drop all but the first element of every `(u, v)` run in a sorted
-/// edge list. A parallel keep-flag scan: element `i` survives iff its
-/// pair differs from element `i - 1`'s, a predecessor comparison each
-/// chunk can make against the immutable sorted slice — so the ordered
-/// collect is bit-identical to the sequential `dedup_by` at every
-/// width. After the lexicographic sort, run heads carry the minimal
-/// `(w, id)`, i.e. exactly the survivors the sequential dedup keeps.
-fn par_dedup_pairs(sorted: Vec<CEdge>) -> Vec<CEdge> {
-    use rayon::prelude::*;
-    if !par_scan_engages(sorted.len()) {
-        let mut out = sorted;
-        out.dedup_by(|a, b| a.u == b.u && a.v == b.v);
-        return out;
-    }
-    sorted
-        .par_iter()
-        .enumerate()
-        .filter(|&(i, e)| i == 0 || !(sorted[i - 1].u == e.u && sorted[i - 1].v == e.v))
-        .map(|(_, e)| *e)
-        .collect()
+    prefilter(comm, edges, Keep::NonLoop)
 }
 
 /// Keep-lightest-per-*unordered*-pair prefilter for the replicated base
@@ -830,22 +874,146 @@ fn par_dedup_pairs(sorted: Vec<CEdge>) -> Vec<CEdge> {
 /// use, per unordered pair, the copy minimal in `(w, id)` — the back
 /// edge and every (also heavier) parallel copy join two already-connected
 /// components. Keeping only the `u < v` direction halves the gathered
-/// volume; the pair-major lexicographic sort (`u, v, w, id` with
-/// `(u, v) = (min, max)` after the direction filter) then groups all
-/// remaining parallel copies of a pair, so one dedup scan keeps exactly
-/// the candidate the sequential tie-break would pick. The undirected
-/// MSF is unique under the unique-weight total order, so the forest is
-/// unchanged.
+/// volume; with `(u, v) = (min, max)` after the direction filter, the
+/// pair dedup of [`prefilter`] keeps exactly the candidate the
+/// sequential tie-break would pick. The undirected MSF is unique under
+/// the unique-weight total order, so the forest is unchanged.
 fn prefilter_unordered(comm: &Comm, edges: &[CEdge]) -> Vec<CEdge> {
-    use rayon::prelude::*;
+    prefilter(comm, edges, Keep::Ascending)
+}
+
+/// The edges a [`prefilter`] keeps. A closed set of pure predicates: the
+/// kernel's uninitialised scatter relies on two scans agreeing.
+#[derive(Clone, Copy, Debug)]
+enum Keep {
+    /// Every non-loop edge, `u != v` ([`prefilter_pairs`]).
+    NonLoop,
+    /// One direction per undirected edge, `u < v`
+    /// ([`prefilter_unordered`]).
+    Ascending,
+}
+
+impl Keep {
+    #[inline]
+    fn keeps(self, e: &CEdge) -> bool {
+        match self {
+            Keep::NonLoop => e.u != e.v,
+            Keep::Ascending => e.u < e.v,
+        }
+    }
+}
+
+/// The prefilter kernel: exactly `filter(keep) → sort by
+/// [`CEdge::lex_key`] → keep the first edge of every (u, v) run`, without
+/// sorting the whole list. Edges are bucketed by source: bucket
+/// `(u − lo) >> shift`, where `lo` is the smallest kept source and
+/// `shift` the smallest value that keeps the bucket count at most the
+/// kept count `n` — one source per bucket for dense labels, a few
+/// neighbouring ones for sparse ids. A counting pass sizes the buckets,
+/// a second pass scatters the kept edges straight into an uninitialised
+/// output of capacity `n`, each bucket is sorted on its own (bucket
+/// ranges in parallel on hybrid PEs), and the run heads are compacted in
+/// place. Buckets ascend in source, so their concatenation is the
+/// lexicographic order.
+///
+/// γ is charged for the counting scan (every input edge), the scatter
+/// (`n`) and `Σ n_b·⌈log2 n_b⌉` for the bucket sorts — a function of the
+/// input alone, so identical at every pool width.
+fn prefilter(comm: &Comm, edges: &[CEdge], keep: Keep) -> Vec<CEdge> {
     comm.charge_local(edges.len() as u64);
-    let mut out: Vec<CEdge> = if par_scan_engages(edges.len()) {
-        edges.par_iter().filter(|e| e.u < e.v).map(|e| *e).collect()
-    } else {
-        edges.iter().filter(|e| e.u < e.v).copied().collect()
-    };
-    kamsta_sort::local_radix_sort(comm, &mut out, CEdge::lex_key);
-    par_dedup_pairs(out)
+    let (n, lo, hi) = edges
+        .iter()
+        .filter(|e| keep.keeps(e))
+        .fold((0usize, VertexId::MAX, 0), |(n, lo, hi), e| {
+            (n + 1, lo.min(e.u), hi.max(e.u))
+        });
+    if n == 0 {
+        return Vec::new();
+    }
+    assert!(n < u32::MAX as usize, "bucket offsets must fit u32");
+    comm.charge_local(n as u64);
+    // With n = 1 the span is 0; otherwise `span >> 63 ≤ 1 < n`.
+    let shift = (0..u64::BITS)
+        .find(|&s| (hi - lo) >> s < n as u64)
+        .expect("some shift below 64 fits the span into n buckets");
+    let bucket = |e: &CEdge| ((e.u - lo) >> shift) as usize;
+
+    // Count bucket b at `pos[b + 2]`; the prefix sum then puts its start
+    // at `pos[b + 1]`, its write cursor. The scatter leaves that cursor
+    // at the bucket's end, which is the next bucket's start, so
+    // `pos[..=buckets]` ends up as the bucket starts with `pos[buckets] =
+    // n`. Filling every bucket front to back keeps input order inside it:
+    // the edges of one source run arrive ascending and stay ascending,
+    // which is what the bucket sorts see.
+    let buckets = ((hi - lo) >> shift) as usize + 1;
+    let mut pos = vec![0u32; buckets + 2];
+    for e in edges.iter().filter(|e| keep.keeps(e)) {
+        pos[bucket(e) + 2] += 1;
+    }
+    let mut sum = 0u32;
+    for p in &mut pos {
+        sum += *p;
+        *p = sum;
+    }
+
+    let mut out: Vec<CEdge> = Vec::with_capacity(n);
+    let slots = &mut out.spare_capacity_mut()[..n];
+    for e in edges.iter().filter(|e| keep.keeps(e)) {
+        let p = &mut pos[bucket(e) + 1];
+        slots[*p as usize].write(*e);
+        *p += 1;
+    }
+    // SAFETY: the scatter pass sees exactly the edges the counting pass
+    // counted (same immutable slice, same pure `Keep` predicate), so bucket b
+    // received exactly its count of writes into its own slot range, and
+    // the ranges tile `0..n`: every slot below `n` is initialised.
+    unsafe { out.set_len(n) };
+
+    comm.charge_local(sort_buckets(&mut out, &pos[..=buckets]));
+    out.dedup_by(|a, b| a.u == b.u && a.v == b.v);
+    out
+}
+
+/// Bucket slices below this many edges are sorted on the calling thread:
+/// a job on the pool costs more than sorting a few thousand edges.
+const PAR_BUCKET_CUTOFF: usize = 1 << 14;
+
+/// Sort every bucket `out[starts[b] − starts[0] .. starts[b + 1] −
+/// starts[0]]` by [`CEdge::lex_key`] and return `Σ n_b·⌈log2 n_b⌉`. On a
+/// hybrid PE the bucket range is split at the bucket boundary nearest
+/// its middle element and the halves sort in parallel; a single bucket
+/// above the cutoff uses the pool's merge sort. Buckets are disjoint and
+/// the key is a total order, so the result is the same at every width.
+fn sort_buckets(out: &mut [CEdge], starts: &[u32]) -> u64 {
+    use rayon::prelude::*;
+    let wide = out.len() >= PAR_BUCKET_CUTOFF && rayon::current_num_threads() > 1;
+    let base = starts[0] as usize;
+    if wide && starts.len() > 2 {
+        let middle = (base + out.len() / 2) as u32;
+        let k = starts
+            .partition_point(|&s| s <= middle)
+            .clamp(1, starts.len() - 2);
+        let (left, right) = out.split_at_mut(starts[k] as usize - base);
+        let (a, b) = rayon::join(
+            || sort_buckets(left, &starts[..=k]),
+            || sort_buckets(right, &starts[k..]),
+        );
+        return a + b;
+    }
+    let mut ops = 0u64;
+    for w in starts.windows(2) {
+        let bucket = &mut out[w[0] as usize - base..w[1] as usize - base];
+        if bucket.len() < 2 {
+            continue;
+        }
+        ops += bucket.len() as u64 * u64::from(kamsta_comm::ceil_log2(bucket.len()));
+        if wide {
+            bucket.par_sort_unstable_by_key(CEdge::lex_key);
+        } else {
+            bucket.sort_unstable_by_key(CEdge::lex_key);
+        }
+    }
+    ops
 }
 
 /// The base case (Sec. IV-D stand-in): gather the prefiltered remaining
@@ -1250,6 +1418,9 @@ pub fn filter_mst(comm: &Comm, input: &InputGraph, cfg: &MstConfig) -> (MstResul
         ctx.stats,
     )
 }
+
+#[cfg(test)]
+mod kernel_tests;
 
 #[cfg(test)]
 mod tests {
